@@ -1,19 +1,15 @@
 // The execution-engine benchmark harness: runs the compiled example
-// corpus plus adversarial route/scan microbenchmarks under all six
+// corpus plus adversarial route/scan microbenchmarks under all four
 // configurations --
 //
 //     v1  = run_reference (allocate-per-instruction interpreter)
 //     v2  = run            (pooled register file, in-place kernels)
-//     v2f = run + fusion   (elementwise groups as single-pass kernels)
 //     x  serial | parallel backend
 //
 // -- verifies that outputs, T, and W agree bit-for-bit across every
 // configuration (exit code 1 on any mismatch: the CI perf-smoke gate),
-// and writes the wall-clock trajectory to a JSON file so future PRs can
-// compare machine-readable numbers instead of prose.  The fused
-// configurations also report the engine's fused-group counters (groups
-// executed, instructions covered, buffers elided, fallbacks), taken
-// from an untimed profiled run.
+// and writes the wall-clock trajectory to a JSON file so future changes
+// can compare machine-readable numbers instead of prose.
 //
 //   bench_machine [--json PATH] [--reps K] [--scale N] [--full]
 //
@@ -35,7 +31,6 @@
 #include "nsc/prelude.hpp"
 #include "obs/benchjson.hpp"
 #include "nsc/typecheck.hpp"
-#include "opt/fuse.hpp"
 #include "opt/liveness.hpp"
 #include "sa/compile.hpp"
 #include "sa/layout.hpp"
@@ -70,7 +65,6 @@ struct Entry {
   std::size_t n;
   const char* engine;
   const char* backend;
-  bool fuse = false;
   double ms = 0;
   std::uint64_t time = 0;
   std::uint64_t work = 0;
@@ -115,7 +109,6 @@ Case make_move_chain(std::size_t n) {
   a.halt();
   auto p = a.finish(1, 1);
   nsc::opt::annotate_last_use(p);
-  nsc::opt::annotate_fusion(p);
   return {"move-chain", std::move(p), {iota_mod(n, 1u << 20)}};
 }
 
@@ -141,37 +134,7 @@ Case make_arith_mix(std::size_t n) {
   a.halt();
   auto p = a.finish(2, 1);
   nsc::opt::annotate_last_use(p);
-  nsc::opt::annotate_fusion(p);
   return {"arith-mix", std::move(p), {iota_mod(n, 1000), iota_mod(n, 60)}};
-}
-
-Case make_fuse_chain(std::size_t n) {
-  // The fusion showcase: a 28-op elementwise pipeline -- Enumerate
-  // feeding a long Add/Mul/Monus/Rsh chain through two recycled
-  // temporaries.  Every intermediate dies inside the group, so the
-  // fused engine builds one output stream instead of 27 register-sized
-  // buffers, and the whole working set stays in two L1 scratch rows.
-  Assembler a;
-  a.reserve_regs(2);
-  auto e = a.reg(), u = a.reg(), v = a.reg();
-  a.enumerate(e, 0);
-  a.arith(u, ArithOp::Add, 0, e);
-  a.arith(v, ArithOp::Mul, u, 1);
-  const ArithOp ops[4] = {ArithOp::Add, ArithOp::Mul, ArithOp::Monus,
-                          ArithOp::Rsh};
-  for (int i = 0; i < 24; ++i) {
-    if (i % 2 == 0) {
-      a.arith(u, ops[i % 4], v, 0);
-    } else {
-      a.arith(v, ops[i % 4], u, 1);
-    }
-  }
-  a.move(0, v);
-  a.halt();
-  auto p = a.finish(2, 1);
-  nsc::opt::annotate_last_use(p);
-  nsc::opt::annotate_fusion(p);
-  return {"fuse-chain", std::move(p), {iota_mod(n, 1000), iota_mod(n, 60)}};
 }
 
 Case make_scan_chain(std::size_t n) {
@@ -190,7 +153,6 @@ Case make_scan_chain(std::size_t n) {
   a.halt();
   auto p = a.finish(1, 1);
   nsc::opt::annotate_last_use(p);
-  nsc::opt::annotate_fusion(p);
   return {"scan-chain", std::move(p), {iota_mod(n, 3)}};
 }
 
@@ -203,7 +165,6 @@ Case make_select(std::size_t n) {
   a.halt();
   auto p = a.finish(1, 1);
   nsc::opt::annotate_last_use(p);
-  nsc::opt::annotate_fusion(p);
   return {"select-half", std::move(p), {iota_mod(n, 2)}};
 }
 
@@ -216,7 +177,6 @@ Case make_append(std::size_t n) {
   a.halt();
   auto p = a.finish(1, 1);
   nsc::opt::annotate_last_use(p);
-  nsc::opt::annotate_fusion(p);
   return {"append-double", std::move(p), {iota_mod(n, 1u << 16)}};
 }
 
@@ -233,7 +193,6 @@ Case make_route_broadcast(std::size_t n) {
   a.halt();
   auto p = a.finish(1, 1);
   nsc::opt::annotate_last_use(p);
-  nsc::opt::annotate_fusion(p);
   return {"route-broadcast", std::move(p), {iota_mod(n, 10)}};
 }
 
@@ -248,7 +207,6 @@ Case make_route_pack(std::size_t n) {
   a.halt();
   auto p = a.finish(2, 1);
   nsc::opt::annotate_last_use(p);
-  nsc::opt::annotate_fusion(p);
   return {"route-pack", std::move(p), {iota_mod(n, 1u << 16), iota_mod(n, 2)}};
 }
 
@@ -267,7 +225,6 @@ Case make_sbm_cartesian(std::size_t n) {
   a.halt();
   auto p = a.finish(4, 1);
   nsc::opt::annotate_last_use(p);
-  nsc::opt::annotate_fusion(p);
   return {"sbm-cartesian", std::move(p),
           {Vec(m, 0), Vec{m}, iota_mod(m, 1u << 16), Vec{m}}};
 }
@@ -376,22 +333,19 @@ int run_bench(const Options& opt) {
   if (opt.full) sizes.push_back(10000000);
   if (opt.scale != 0) sizes = {opt.scale};
 
-  // The six configurations.  v1 ignores cfg.fuse (the reference
-  // interpreter has no fusion), so the v1 rows double as the oracle the
-  // fused rows must match bit-for-bit.
+  // The four configurations; the v1 rows double as the oracle the v2
+  // rows must match bit-for-bit.
   struct Config {
     const char* engine;
     const char* backend;
-    bool v2, par, fuse;
+    bool v2, par;
   };
-  constexpr std::size_t kConfigs = 6;
+  constexpr std::size_t kConfigs = 4;
   const Config cfgs[kConfigs] = {
-      {"v1", "serial", false, false, false},
-      {"v1", "parallel", false, true, false},
-      {"v2", "serial", true, false, false},
-      {"v2", "parallel", true, true, false},
-      {"v2", "serial", true, false, true},
-      {"v2", "parallel", true, true, true},
+      {"v1", "serial", false, false},
+      {"v1", "parallel", false, true},
+      {"v2", "serial", true, false},
+      {"v2", "parallel", true, true},
   };
 
   std::vector<Entry> entries;
@@ -399,24 +353,21 @@ int run_bench(const Options& opt) {
     std::string bench;
     std::size_t n;
     double ms[kConfigs] = {};
-    // Fused-group counters from the fused/serial configuration's
-    // profiled validation run.
-    std::uint64_t groups = 0, instrs = 0, elided = 0, fallbacks = 0;
   };
   std::vector<Summary> summaries;
   bool mismatch = false;
 
   using Maker = Case (*)(std::size_t);
   const Maker makers[] = {
-      make_move_chain,   make_arith_mix,      make_fuse_chain,
-      make_scan_chain,   make_select,         make_append,
-      make_route_broadcast, make_route_pack,  make_sbm_cartesian,
-      make_corpus_index, make_corpus_filter_map, make_corpus_sum,
-      make_corpus_quickstart, make_corpus_nested_query,
+      make_move_chain,   make_arith_mix,      make_scan_chain,
+      make_select,       make_append,         make_route_broadcast,
+      make_route_pack,   make_sbm_cartesian,  make_corpus_index,
+      make_corpus_filter_map, make_corpus_sum, make_corpus_quickstart,
+      make_corpus_nested_query,
   };
 
-  Table t({"bench", "n", "v1 serial", "v2 serial", "v2f serial", "v2f par",
-           "fuse serial", "v2f/v1 serial"});
+  Table t({"bench", "n", "v1 serial", "v1 par", "v2 serial", "v2 par",
+           "v2/v1 serial", "v2 par/v1 serial"});
   for (std::size_t n : sizes) {
     for (auto make : makers) {
       Case c = make(n);
@@ -428,32 +379,17 @@ int run_bench(const Options& opt) {
       for (std::size_t ci = 0; ci < kConfigs; ++ci) {
         RunConfig cfg;
         cfg.parallel_backend = cfgs[ci].par;
-        cfg.fuse = cfgs[ci].fuse;
-        // Untimed validation run: outputs + costs feed the checksum, and
-        // -- for the fused/serial configuration -- a profiled pass
-        // collects the engine's fused-group counters (profiling changes
-        // no output or cost, only wall-clock bookkeeping).
-        const bool v2 = cfgs[ci].v2;
-        const bool want_counters =
-            cfgs[ci].fuse && !cfgs[ci].par;
-        cfg.profile = want_counters;
-        RunResult r = v2 ? nsc::bvram::run(c.program, c.inputs, cfg)
-                         : nsc::bvram::run_reference(c.program, c.inputs,
-                                                     cfg);
-        if (want_counters) {
-          s.groups = r.engine.fused_groups;
-          s.instrs = r.engine.fused_instrs;
-          s.elided = r.engine.fused_elided;
-          s.fallbacks = r.engine.fused_fallbacks;
-        }
-        cfg.profile = false;
         run_cfgs[ci] = cfg;
+        // Untimed validation run: outputs + costs feed the checksum.
+        RunResult r = cfgs[ci].v2
+                          ? nsc::bvram::run(c.program, c.inputs, cfg)
+                          : nsc::bvram::run_reference(c.program, c.inputs,
+                                                      cfg);
         Entry e;
         e.bench = c.name;
         e.n = n;
         e.engine = cfgs[ci].engine;
         e.backend = cfgs[ci].backend;
-        e.fuse = cfgs[ci].fuse;
         e.time = r.cost.time;
         e.work = r.cost.work;
         e.checksum = checksum(r);
@@ -461,11 +397,10 @@ int run_bench(const Options& opt) {
         if (e.checksum != base.checksum || e.time != base.time ||
             e.work != base.work) {
           std::fprintf(stderr,
-                       "MISMATCH: %s n=%zu %s/%s%s disagrees with v1/serial "
+                       "MISMATCH: %s n=%zu %s/%s disagrees with v1/serial "
                        "(checksum %016llx vs %016llx, T %llu vs %llu, W "
                        "%llu vs %llu)\n",
                        c.name.c_str(), n, e.engine, e.backend,
-                       e.fuse ? "/fused" : "",
                        static_cast<unsigned long long>(e.checksum),
                        static_cast<unsigned long long>(base.checksum),
                        static_cast<unsigned long long>(e.time),
@@ -492,22 +427,21 @@ int run_bench(const Options& opt) {
       }
       summaries.push_back(s);
       t.row({c.name, std::to_string(n), Table::fixed(s.ms[0], 2),
-             Table::fixed(s.ms[2], 2), Table::fixed(s.ms[4], 2),
-             Table::fixed(s.ms[5], 2), Table::fixed(s.ms[2] / s.ms[4], 2),
-             Table::fixed(s.ms[0] / s.ms[4], 2)});
+             Table::fixed(s.ms[1], 2), Table::fixed(s.ms[2], 2),
+             Table::fixed(s.ms[3], 2), Table::fixed(s.ms[0] / s.ms[2], 2),
+             Table::fixed(s.ms[0] / s.ms[3], 2)});
     }
   }
   t.print();
   // Geometric-mean speedups over the compiled example corpus at the
-  // largest measured n (the acceptance-criterion aggregate).  "v2" here
-  // is the engine's default configuration, which now includes fusion.
+  // largest measured n (the acceptance-criterion aggregate).
   const std::size_t n_max = sizes.back();
   double log_serial = 0, log_par = 0;
   std::size_t corpus_count = 0;
   for (const auto& s : summaries) {
     if (s.n != n_max || s.bench.rfind("compiled:", 0) != 0) continue;
-    log_serial += std::log(s.ms[0] / s.ms[4]);
-    log_par += std::log(s.ms[0] / s.ms[5]);
+    log_serial += std::log(s.ms[0] / s.ms[2]);
+    log_par += std::log(s.ms[0] / s.ms[3]);
     ++corpus_count;
   }
   const double geo_serial =
@@ -517,27 +451,14 @@ int run_bench(const Options& opt) {
       "\ncompiled corpus at n=%zu: geomean serial v2/v1 = %.2fx, "
       "parallel v2/v1-serial = %.2fx\n",
       n_max, geo_serial, geo_par);
-  std::printf("\nfusion at n=%zu (serial, unfused -> fused):\n", n_max);
-  for (const auto& s : summaries) {
-    if (s.n != n_max || s.groups == 0) continue;
-    std::printf(
-        "  %-24s %7.2f -> %7.2f ms  (%.2fx; %llu groups / %llu instrs, "
-        "%llu buffers elided, %llu fallbacks)\n",
-        s.bench.c_str(), s.ms[2], s.ms[4], s.ms[2] / s.ms[4],
-        static_cast<unsigned long long>(s.groups),
-        static_cast<unsigned long long>(s.instrs),
-        static_cast<unsigned long long>(s.elided),
-        static_cast<unsigned long long>(s.fallbacks));
-  }
   std::printf(
-      "\nreading: 'fuse serial' is the fusion win over the already-pooled\n"
-      "v2 engine; 'v2f/v1 serial' is the cumulative win over the\n"
+      "\nreading: 'v2/v1 serial' is the pooled engine's win over the\n"
       "reference interpreter (%zu workers for the parallel rows).\n"
-      "All six configurations produced bit-identical outputs, T, and W.\n",
+      "All four configurations produced bit-identical outputs, T, and W.\n",
       nsc::parallel_workers());
 
   // ---- JSON ----
-  nsc::obs::BenchReport report(opt.json_path, "bvram-bench-machine/v3");
+  nsc::obs::BenchReport report(opt.json_path, "bvram-bench-machine/v4");
   if (!report.ok()) return 1;
   std::FILE* f = report.out();
   std::fprintf(f, "  \"workers\": %zu,\n  \"reps\": %d,\n",
@@ -552,10 +473,9 @@ int run_bench(const Options& opt) {
     const Entry& e = entries[i];
     std::fprintf(f,
                  "    {\"bench\": \"%s\", \"n\": %zu, \"engine\": \"%s\", "
-                 "\"backend\": \"%s\", \"fuse\": %s, \"ms\": %.3f, "
+                 "\"backend\": \"%s\", \"ms\": %.3f, "
                  "\"T\": %llu, \"W\": %llu, \"checksum\": \"%016llx\"}%s\n",
-                 e.bench.c_str(), e.n, e.engine, e.backend,
-                 e.fuse ? "true" : "false", e.ms,
+                 e.bench.c_str(), e.n, e.engine, e.backend, e.ms,
                  static_cast<unsigned long long>(e.time),
                  static_cast<unsigned long long>(e.work),
                  static_cast<unsigned long long>(e.checksum),
@@ -567,19 +487,11 @@ int run_bench(const Options& opt) {
     std::fprintf(f,
                  "    {\"bench\": \"%s\", \"n\": %zu, "
                  "\"v1_serial_ms\": %.3f, \"v2_serial_ms\": %.3f, "
-                 "\"v2_fused_serial_ms\": %.3f, "
                  "\"v1_parallel_ms\": %.3f, \"v2_parallel_ms\": %.3f, "
-                 "\"v2_fused_parallel_ms\": %.3f, "
                  "\"v2_serial_speedup\": %.2f, "
-                 "\"fused_serial_speedup\": %.2f, "
-                 "\"fused_groups\": %llu, \"fused_instrs\": %llu, "
-                 "\"fused_elided\": %llu, \"fused_fallbacks\": %llu}%s\n",
-                 s.bench.c_str(), s.n, s.ms[0], s.ms[2], s.ms[4], s.ms[1],
-                 s.ms[3], s.ms[5], s.ms[0] / s.ms[2], s.ms[2] / s.ms[4],
-                 static_cast<unsigned long long>(s.groups),
-                 static_cast<unsigned long long>(s.instrs),
-                 static_cast<unsigned long long>(s.elided),
-                 static_cast<unsigned long long>(s.fallbacks),
+                 "\"v2_parallel_speedup\": %.2f}%s\n",
+                 s.bench.c_str(), s.n, s.ms[0], s.ms[2], s.ms[1], s.ms[3],
+                 s.ms[0] / s.ms[2], s.ms[0] / s.ms[3],
                  i + 1 < summaries.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n  \"mismatch\": %s\n", mismatch ? "true" : "false");
@@ -611,9 +523,9 @@ int main(int argc, char** argv) {
     }
   }
   std::printf(
-      "bench_machine: BVRAM execution engine v1 (reference) vs v2, with\n"
-      "and without fused elementwise groups; wall-clock best of %d,\n"
-      "outputs/T/W cross-checked across all six configurations.\n\n",
+      "bench_machine: BVRAM execution engine v1 (reference) vs v2, serial\n"
+      "and parallel; wall-clock best of %d, outputs/T/W cross-checked\n"
+      "across all four configurations.\n\n",
       opt.reps);
   return run_bench(opt);
 }

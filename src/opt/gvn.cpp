@@ -8,7 +8,7 @@
 // redundant whenever a combine_vec branch diamond sat between two
 // copies.  This pass walks the *dominator tree* instead: everything
 // established in a block holds in every block it dominates, so a
-// recomputation after a join fuses with the original before the branch.
+// recomputation after a join merges with the original before the branch.
 //
 // Non-SSA soundness: a table entry (expression -> {reg, vn}) is usable
 // only while `reg` still holds that value.  Within the dominator-tree
@@ -30,7 +30,7 @@
 //     EXCEPT LoadConst (work 1 < the Move's 2), Length (1 < 2 when the
 //     source is empty at run time), and SbmRoute (the only expanding
 //     op); those are kept in place but their destination is aliased to
-//     the earlier value number so downstream expressions still fuse;
+//     the earlier value number so downstream expressions still merge;
 //   * the all-ones route algebra (PR 3): an executed bm-route whose
 //     data is the known singleton [1] is the catalog's ones_like
 //     broadcast -- its result is all-ones with the bound register's
@@ -200,7 +200,7 @@ class Gvn final : public Pass {
         // Length and Enumerate depend only on their operand's *length*,
         // and an all-ones vector has its broadcast source's length: key
         // them under the source's value number so e.g. enumerate(ones(x))
-        // fuses with enumerate(x) via ordinary CSE.
+        // merges with enumerate(x) via ordinary CSE.
         auto canon_key = [&](const Instr& ins) {
           VnKey key = vn.key_of(ins);
           if (ins.op == Op::Length || ins.op == Op::Enumerate) {

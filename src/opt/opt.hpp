@@ -24,7 +24,7 @@
 //               into dead code and exposes move coalescing.
 //   gvn         dominator-tree-scoped global value numbering: redundant
 //               recomputations (Length / Enumerate / ScanPlus / Arith /
-//               Append / the routes) fuse with the dominating original
+//               Append / the routes) merge with the dominating original
 //               even across branch diamonds -- the repeated scan/route
 //               subgraphs the flattening compiler emits per segment-
 //               descriptor level collapse here -- and the all-ones route

@@ -114,13 +114,6 @@ void Service::register_metrics() {
   m_.eng_par_chunks = &registry_.counter(
       "nscc_engine_par_chunks_total",
       "Chunks dispatched to the worker pool (profile_runs only).");
-  m_.eng_fused_groups = &registry_.counter(
-      "nscc_engine_fused_groups_total",
-      "Instruction groups executed via the fused path (profile_runs "
-      "only).");
-  m_.eng_fused_elided = &registry_.counter(
-      "nscc_engine_fused_elided_total",
-      "Intermediate buffers elided by fused groups (profile_runs only).");
 }
 
 Service::Service(ServeConfig cfg)
@@ -179,7 +172,6 @@ std::shared_ptr<const CompiledProgram> Service::load(
   key.sched = sched.kind;
   key.eps_num = sched.eps.num;
   key.eps_den = sched.eps.den;
-  key.fuse = cfg_.fuse;
 
   const std::uint64_t evictions_before =
       cfg_.events != nullptr ? cache_.stats().evictions : 0;
@@ -338,8 +330,6 @@ void Service::note_engine(const bvram::EngineProfile& e) {
   m_.eng_move_swaps->inc(e.move_swaps);
   m_.eng_par_kernels->inc(e.par_kernels);
   m_.eng_par_chunks->inc(e.par_chunks);
-  m_.eng_fused_groups->inc(e.fused_groups);
-  m_.eng_fused_elided->inc(e.fused_elided);
 }
 
 void Service::execute(std::vector<Pending> batch, bvram::BufferPool* arena,
@@ -396,7 +386,6 @@ void Service::execute(std::vector<Pending> batch, bvram::BufferPool* arena,
     bvram::RunConfig rc;
     rc.max_instructions = sat_mul_u64(cfg_.fuel, k);
     rc.parallel_backend = cfg_.parallel_backend;
-    rc.fuse = cfg_.fuse;
     rc.arena = arena;
     rc.profile = cfg_.profile_runs;
 
@@ -472,7 +461,6 @@ Response Service::run_one(const CompiledProgram& prog, const ValueRef& arg,
   bvram::RunConfig rc;
   rc.max_instructions = cfg_.fuel;
   rc.parallel_backend = cfg_.parallel_backend;
-  rc.fuse = cfg_.fuse;
   rc.arena = arena;
   rc.profile = cfg_.profile_runs;
 
@@ -654,7 +642,6 @@ std::string Service::stats_json() const {
      << ", \"max_batch\": " << cfg_.max_batch << ", \"fuel\": " << cfg_.fuel
      << ", \"batching\": " << (cfg_.batching ? "true" : "false")
      << ", \"parallel_backend\": " << (cfg_.parallel_backend ? "true" : "false")
-     << ", \"fuse\": " << (cfg_.fuse ? "true" : "false")
      << ", \"profile_runs\": " << (cfg_.profile_runs ? "true" : "false")
      << "},\n";
   os << "  \"requests\": {\"submitted\": " << s.submitted

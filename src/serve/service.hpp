@@ -8,10 +8,10 @@
 // testable:
 //
 //   1. ProgramCache (serve/cache.hpp): compile once per (source, opt,
-//      schedule, fuse) key, share the immutable artifact across every
-//      thread.  bvram::run takes the Program by const reference and
-//      keeps all run state in a private Engine, so N workers executing
-//      one Program concurrently need no synchronization.
+//      schedule) key, share the immutable artifact across every thread.
+//      bvram::run takes the Program by const reference and keeps all
+//      run state in a private Engine, so N workers executing one
+//      Program concurrently need no synchronization.
 //
 //   2. ArenaPool (serve/arena.hpp): each worker thread leases one warm
 //      register-file arena for its lifetime, so steady-state execution
@@ -68,7 +68,7 @@ struct ServeConfig {
   /// Admission limit: submits beyond this many queued requests are
   /// rejected immediately with Outcome::Rejected.
   std::size_t max_queue = 1024;
-  /// Largest number of same-program requests fused into one batch run.
+  /// Largest number of same-program requests merged into one batch run.
   std::size_t max_batch = 64;
   /// Per-request instruction budget (RunConfig::max_instructions); a
   /// batch of k runs under k * fuel.
@@ -78,8 +78,6 @@ struct ServeConfig {
   bool batching = true;
   /// RunConfig::parallel_backend for every run the service issues.
   bool parallel_backend = false;
-  /// RunConfig::fuse for every run; also part of the cache key.
-  bool fuse = true;
   /// ProgramCache capacity, in compiled artifacts.
   std::size_t cache_capacity = 64;
 
@@ -100,7 +98,7 @@ struct ServeConfig {
   /// 0 disables the threshold.
   std::uint64_t slow_ms = 0;
   /// Run every machine run with RunConfig::profile and fold the engine's
-  /// counters (pool hits, in-place writes, fused groups, ...) into the
+  /// counters (pool hits, in-place writes, parallel chunks, ...) into the
   /// metrics registry.  Costs engine-side bookkeeping; off by default.
   bool profile_runs = false;
 };
@@ -179,8 +177,8 @@ class Service {
   ProgramCache& cache() { return cache_; }
 
   /// Frontend + cache in one step: parse/resolve `source_text`, pick
-  /// entry `entry` (empty = main), and compile through the cache under
-  /// this service's fuse flag.  Throws FrontError / CompileError.
+  /// entry `entry` (empty = main), and compile through the cache.
+  /// Throws FrontError / CompileError.
   std::shared_ptr<const CompiledProgram> load(
       const std::string& name, const std::string& source_text,
       const std::string& entry = "",
@@ -253,8 +251,6 @@ class Service {
     obs::Counter* eng_move_swaps = nullptr;
     obs::Counter* eng_par_kernels = nullptr;
     obs::Counter* eng_par_chunks = nullptr;
-    obs::Counter* eng_fused_groups = nullptr;
-    obs::Counter* eng_fused_elided = nullptr;
   };
 
   void register_metrics();

@@ -12,7 +12,7 @@
 //   for_each_chunk   the second pass: emit each chunk given its offset
 //   parallel_reduce  saturating sum of per-chunk partial sums: the
 //                    scan's degenerate sibling, for kernels that need a
-//                    total without offsets (the engine's fused kernels
+//                    total without offsets (the engine's kernels
 //                    currently fold their sums into for_each_chunk
 //                    passes, so this one exists for kernel authors)
 //

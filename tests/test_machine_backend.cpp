@@ -7,17 +7,14 @@
 //     run            parallel    (all 11 vector opcodes on the pool)
 //
 // plus the v2 pair again on a copy annotated with opt::annotate_last_use
-// (exercising Move-as-swap and the in-place kernels), plus three more on
-// a copy additionally annotated with opt::annotate_fusion -- fused
-// serial, fused parallel, and the fused plan with RunConfig::fuse off --
-// and all nine must agree bit-for-bit on outputs, trap type *and
-// message*, T, W, and the per-instruction trace.  Covers every opcode
-// including the trap cases (length mismatch, bad bound/segment
-// certificates, division by zero) and the compiled example corpus at
-// every OptLevel and WhileSchedule.  The Fusion suite at the bottom
-// adds group-specific adversaries: trap-at-element inside a group,
-// extent-mismatch fallback, aliased dst/src, budget expiry mid-group,
-// and the attribution floor with fusion enabled.
+// (exercising Move-as-swap and the in-place kernels), and all six must
+// agree bit-for-bit on outputs, trap type *and message*, T, W, and the
+// per-instruction trace.  Covers every opcode including the trap cases
+// (length mismatch, bad bound/segment certificates, division by zero),
+// elementwise-chain adversaries (a trap at the front, middle, and tail
+// element, extent mismatch, aliased dst/src, fuel running out mid-run, an
+// elementwise loop body), and the compiled example corpus at every
+// OptLevel and WhileSchedule.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -30,7 +27,6 @@
 #include "nsc/prelude.hpp"
 #include "nsc/typecheck.hpp"
 #include "obs/profile.hpp"
-#include "opt/fuse.hpp"
 #include "opt/liveness.hpp"
 #include "opt/opt.hpp"
 #include "sa/compile.hpp"
@@ -55,11 +51,11 @@ struct Outcome {
 template <typename Runner>
 Outcome outcome_of(Runner runner, const Program& p,
                    const std::vector<Vec>& inputs, bool parallel,
-                   bool fuse = true) {
+                   std::uint64_t max_instructions) {
   RunConfig cfg;
   cfg.record_trace = true;
   cfg.parallel_backend = parallel;
-  cfg.fuse = fuse;
+  cfg.max_instructions = max_instructions;
   Outcome o;
   try {
     o.result = runner(p, inputs, cfg);
@@ -93,30 +89,25 @@ void expect_same(const Outcome& base, const Outcome& got,
   }
 }
 
-/// The harness: v1 serial is ground truth; the other eight configurations
-/// must match it exactly.
-void expect_identical(const Program& p, const std::vector<Vec>& inputs) {
-  const Outcome base = outcome_of(run_reference, p, inputs, false);
-  expect_same(base, outcome_of(run_reference, p, inputs, true), "v1/par");
-  expect_same(base, outcome_of(run, p, inputs, false), "v2/serial");
-  expect_same(base, outcome_of(run, p, inputs, true), "v2/par");
+/// The harness: v1 serial is ground truth; the other five configurations
+/// must match it exactly.  `max_instructions` is the budget every
+/// configuration runs under (FuelExhausted must surface identically).
+/// Returns the ground-truth outcome so callers can assert on it.
+Outcome expect_identical(const Program& p, const std::vector<Vec>& inputs,
+                         std::uint64_t max_instructions =
+                             RunConfig{}.max_instructions) {
+  const auto outcome = [&](auto runner, const Program& q, bool parallel) {
+    return outcome_of(runner, q, inputs, parallel, max_instructions);
+  };
+  const Outcome base = outcome(run_reference, p, false);
+  expect_same(base, outcome(run_reference, p, true), "v1/par");
+  expect_same(base, outcome(run, p, false), "v2/serial");
+  expect_same(base, outcome(run, p, true), "v2/par");
   Program annotated = p;
   opt::annotate_last_use(annotated);
-  expect_same(base, outcome_of(run, annotated, inputs, false),
-              "v2+liveness/serial");
-  expect_same(base, outcome_of(run, annotated, inputs, true),
-              "v2+liveness/par");
-  // Fusion differential: the same liveness-annotated program with the
-  // fusion plan attached, executed fused (serial + parallel) and with
-  // the fused path switched off again -- cost-model invisibility means
-  // all three are indistinguishable from the reference.
-  Program fused = annotated;
-  opt::annotate_fusion(fused);
-  expect_same(base, outcome_of(run, fused, inputs, false),
-              "v2+fusion/serial");
-  expect_same(base, outcome_of(run, fused, inputs, true), "v2+fusion/par");
-  expect_same(base, outcome_of(run, fused, inputs, false, false),
-              "v2+fusion-off/serial");
+  expect_same(base, outcome(run, annotated, false), "v2+liveness/serial");
+  expect_same(base, outcome(run, annotated, true), "v2+liveness/par");
+  return base;
 }
 
 // Sizes straddle the parallel grain (4096) so both the serial fallback
@@ -602,36 +593,12 @@ TEST(Backend, NotTakenBranchWithBadTargetRejected) {
 }
 
 // ---------------------------------------------------------------------------
-// fused elementwise groups
+// elementwise-chain adversaries
 // ---------------------------------------------------------------------------
 
-/// Annotate with liveness + a fusion plan, the way compile_nsc emits.
-Program fuse_annotated(Assembler& a, std::size_t ins, std::size_t outs) {
-  auto p = a.finish(ins, outs);
-  opt::annotate_last_use(p);
-  opt::annotate_fusion(p);
-  return p;
-}
-
-/// Counters from a profiled run: differential identity alone cannot tell
-/// whether the fused path actually executed (that's the point of
-/// cost-model invisibility), so these assertions watch the engine.
-EngineProfile fused_counters(const Program& p, const std::vector<Vec>& in,
-                             bool parallel = false) {
-  RunConfig cfg;
-  cfg.profile = true;
-  cfg.parallel_backend = parallel;
-  EngineProfile eng;
-  try {
-    eng = run(p, in, cfg).engine;
-  } catch (const Error&) {
-    // Trapping runs surface no counters; callers asserting on traps use
-    // expect_identical for the trap itself.
-  }
-  return eng;
-}
-
-TEST(Fusion, ArithChainFusesWithCounters) {
+TEST(Backend, ArithChainThroughMove) {
+  // Two temporaries cycled through four Arith ops, then a Move to the
+  // output: with liveness every step after the first runs in place.
   Assembler a;
   a.reserve_regs(2);
   auto u = a.reg(), v = a.reg();
@@ -641,37 +608,15 @@ TEST(Fusion, ArithChainFusesWithCounters) {
   a.arith(v, ArithOp::Rsh, u, 1);
   a.move(0, v);
   a.halt();
-  auto p = fuse_annotated(a, 2, 1);
-  ASSERT_EQ(p.fusion.size(), 1u);
-  EXPECT_EQ(p.fusion[0].begin, 0u);
-  EXPECT_EQ(p.fusion[0].end, 5u);
+  auto p = a.finish(2, 1);
   for (std::size_t n : kSizes) {
-    std::vector<Vec> in = {iota_mod(n, 1000), iota_mod(n, 60)};
-    const EngineProfile eng = fused_counters(p, in);
-    EXPECT_EQ(eng.fused_groups, 1u);
-    EXPECT_EQ(eng.fused_instrs, 5u);
-    EXPECT_GT(eng.fused_elided, 0u);
-    EXPECT_EQ(eng.fused_fallbacks, 0u);
-  }
-  Assembler b;
-  b.reserve_regs(2);
-  auto u2 = b.reg(), v2 = b.reg();
-  b.arith(u2, ArithOp::Add, 0, 1);
-  b.arith(v2, ArithOp::Mul, u2, 0);
-  b.arith(u2, ArithOp::Monus, v2, 1);
-  b.arith(v2, ArithOp::Rsh, u2, 1);
-  b.move(0, v2);
-  b.halt();
-  auto plain = b.finish(2, 1);
-  for (std::size_t n : kSizes) {
-    expect_identical(plain, {iota_mod(n, 1000), iota_mod(n, 60)});
+    expect_identical(p, {iota_mod(n, 1000), iota_mod(n, 60)});
   }
 }
 
-TEST(Fusion, EveryFusableOpcodeMix) {
-  // One group spanning the full fusable ISA: Enumerate head, Arith body,
-  // an elided Move, a mid-group ScanPlus (forces the serial-only path),
-  // and a terminal Select.
+TEST(Backend, ElementwiseOpcodeMix) {
+  // Every elementwise opcode in one straight line: Enumerate head, Arith
+  // body, a Move, a ScanPlus, and a terminal Select.
   Assembler a;
   a.reserve_regs(1);
   auto e = a.reg(), u = a.reg(), v = a.reg();
@@ -682,73 +627,37 @@ TEST(Fusion, EveryFusableOpcodeMix) {
   a.arith(v, ArithOp::Monus, u, 0);
   a.select(0, v);
   a.halt();
-  auto annotated = fuse_annotated(a, 1, 1);
-  ASSERT_EQ(annotated.fusion.size(), 1u);
-  EXPECT_TRUE(annotated.fusion[0].serial_only);
-  EXPECT_TRUE(annotated.fusion[0].has_select);
-  for (std::size_t n : kSizes) {
-    Assembler b;
-    b.reserve_regs(1);
-    auto e2 = b.reg(), u2 = b.reg(), v2 = b.reg();
-    b.enumerate(e2, 0);
-    b.arith(u2, ArithOp::Add, 0, e2);
-    b.move(v2, u2);
-    b.scan_plus(u2, v2);
-    b.arith(v2, ArithOp::Monus, u2, 0);
-    b.select(0, v2);
-    b.halt();
-    auto p = b.finish(1, 1);
-    expect_identical(p, {iota_mod(n, 97)});
-  }
+  auto p = a.finish(1, 1);
+  for (std::size_t n : kSizes) expect_identical(p, {iota_mod(n, 97)});
 }
 
-TEST(Fusion, TrapAtElementInsideGroup) {
-  // Division by zero on the *third* instruction of a fused group, with
-  // the poisoned element at the front, deep inside, and at the tail.
-  // The fused attempt discards and the per-instruction replay must
-  // charge the first two instructions and trap at the exact element.
+TEST(Backend, ChainTrapAtFrontMiddleAndTailElement) {
+  // Division by zero on the third instruction of an elementwise chain,
+  // with the poisoned element at the front, deep inside, and at the tail:
+  // every configuration must charge the first two instructions and trap
+  // with the exact message.
+  Assembler a;
+  a.reserve_regs(2);
+  auto u = a.reg(), v = a.reg();
+  a.arith(u, ArithOp::Add, 0, 1);
+  a.arith(v, ArithOp::Mul, u, 0);
+  a.arith(u, ArithOp::Div, v, 1);
+  a.move(0, u);
+  a.halt();
+  auto p = a.finish(2, 1);
+  const Vec num(20000, 7);
+  EXPECT_FALSE(expect_identical(p, {num, Vec(20000, 3)}).trapped);
   for (std::size_t poison : {std::size_t{0}, std::size_t{12345},
                              std::size_t{19999}}) {
-    Assembler a;
-    a.reserve_regs(2);
-    auto u = a.reg(), v = a.reg();
-    a.arith(u, ArithOp::Add, 0, 1);
-    a.arith(v, ArithOp::Mul, u, 0);
-    a.arith(u, ArithOp::Div, v, 1);
-    a.move(0, u);
-    a.halt();
-    auto p = a.finish(2, 1);
-    Vec num(20000, 7);
     Vec den(20000, 3);
     den[poison] = 0;
-    // The identity assertions are the whole contract here: the fused
-    // attempt discards its buffers and the per-instruction replay must
-    // charge the first two instructions and trap at the exact element
-    // with the exact message.  (A trapping run produces no RunResult,
-    // so the fallback counter itself is not observable -- the healthy
-    // variant below confirms this plan does take the fused path.)
-    expect_identical(p, {num, den});
-    Assembler b;
-    b.reserve_regs(2);
-    auto u2 = b.reg(), v2 = b.reg();
-    b.arith(u2, ArithOp::Add, 0, 1);
-    b.arith(v2, ArithOp::Mul, u2, 0);
-    b.arith(u2, ArithOp::Div, v2, 1);
-    b.move(0, u2);
-    b.halt();
-    auto annotated = fuse_annotated(b, 2, 1);
-    ASSERT_EQ(annotated.fusion.size(), 1u);
-    const EngineProfile healthy =
-        fused_counters(annotated, {num, Vec(20000, 3)});
-    EXPECT_EQ(healthy.fused_groups, 1u);
-    EXPECT_EQ(healthy.fused_fallbacks, 0u);
+    EXPECT_TRUE(expect_identical(p, {num, den}).trapped) << poison;
   }
 }
 
-TEST(Fusion, ExtentMismatchFallsBack) {
-  // Group inputs of unequal length: the fused entry check bounces the
-  // group to per-instruction execution, which reproduces the unfused
-  // length-mismatch trap on the first Arith.
+TEST(Backend, ChainExtentMismatchTraps) {
+  // Chain inputs of unequal length: the first Arith traps on the length
+  // mismatch in every configuration.
   Assembler a;
   a.reserve_regs(2);
   auto u = a.reg(), v = a.reg();
@@ -757,13 +666,13 @@ TEST(Fusion, ExtentMismatchFallsBack) {
   a.move(0, v);
   a.halt();
   auto p = a.finish(2, 1);
-  expect_identical(p, {Vec(10, 1), Vec(11, 1)});
-  expect_identical(p, {Vec{}, Vec{1}});
+  EXPECT_TRUE(expect_identical(p, {Vec(10, 1), Vec(11, 1)}).trapped);
+  EXPECT_TRUE(expect_identical(p, {Vec{}, Vec{1}}).trapped);
 }
 
-TEST(Fusion, AliasedDstAndSrc) {
+TEST(Backend, AliasedDstAndSrc) {
   // Aliasing adversaries: dst == src arithmetic, dst == both srcs, a
-  // self-Move inside the group, and ScanPlus over its own destination.
+  // self-Move, and ScanPlus in place over its own destination.
   Assembler a;
   a.reserve_regs(1);
   auto x = a.reg();
@@ -777,10 +686,10 @@ TEST(Fusion, AliasedDstAndSrc) {
   for (std::size_t n : kSizes) expect_identical(p, {iota_mod(n, 50)});
 }
 
-TEST(Fusion, BudgetExpiryMidGroup) {
-  // max_instructions lands in the middle of a group: the precheck
-  // bounces to the per-instruction path, which throws FuelExhausted at
-  // the same instruction as the reference engine.
+TEST(Backend, FuelRunsOutMidChain) {
+  // max_instructions lands inside a straight-line elementwise chain:
+  // every configuration throws FuelExhausted at the same instruction with
+  // the same message, and a budget that covers the whole run succeeds.
   Assembler a;
   a.reserve_regs(2);
   auto u = a.reg(), v = a.reg();
@@ -791,33 +700,18 @@ TEST(Fusion, BudgetExpiryMidGroup) {
   a.move(0, v);
   a.halt();
   auto p = a.finish(2, 1);
-  opt::annotate_last_use(p);
-  opt::annotate_fusion(p);
-  ASSERT_EQ(p.fusion.size(), 1u);
-  const std::vector<Vec> in = {iota_mod(100, 10), iota_mod(100, 10)};
-  for (std::uint64_t budget : {1ull, 2ull, 4ull}) {
-    RunConfig cfg;
-    cfg.max_instructions = budget;
-    std::string ref_err, v2_err;
-    try {
-      run_reference(p, in, cfg);
-    } catch (const Error& e) {
-      ref_err = std::string(typeid(e).name()) + ": " + e.what();
+  for (std::size_t n : {std::size_t{100}, std::size_t{20011}}) {
+    const std::vector<Vec> in = {iota_mod(n, 10), iota_mod(n, 10)};
+    for (std::uint64_t budget : {1ull, 2ull, 4ull, 6ull}) {
+      EXPECT_EQ(expect_identical(p, in, budget).trapped, budget < 6)
+          << "budget " << budget;
     }
-    try {
-      run(p, in, cfg);
-    } catch (const Error& e) {
-      v2_err = std::string(typeid(e).name()) + ": " + e.what();
-    }
-    EXPECT_FALSE(ref_err.empty()) << "budget " << budget;
-    EXPECT_EQ(ref_err, v2_err) << "budget " << budget;
   }
 }
 
-TEST(Fusion, LoopBodyGroupCountsPerTrip) {
-  // A fused group inside a natural loop executes once per trip; the
-  // counters are dynamic, and the back-edge target breaks the group at
-  // the loop head (control may re-enter there).
+TEST(Backend, ElementwiseLoopBody) {
+  // A natural loop whose body is an elementwise chain, run once per trip;
+  // the back edge re-enters at the loop head.
   Assembler a;
   auto acc = a.reg();
   auto n = a.reg();
@@ -839,39 +733,17 @@ TEST(Fusion, LoopBodyGroupCountsPerTrip) {
   a.halt();
   auto p = a.finish(2, 1);
   expect_identical(p, {Vec{}, Vec{12}});
-  Assembler b;
-  auto acc2 = b.reg();
-  auto n2 = b.reg();
-  auto one2 = b.reg();
-  auto nz2 = b.reg();
-  auto t2 = b.reg();
-  b.load_const(acc2, 1);
-  b.load_const(one2, 1);
-  auto top2 = b.fresh_label();
-  auto done2 = b.fresh_label();
-  b.bind(top2);
-  b.select(nz2, n2);
-  b.jump_if_empty(nz2, done2);
-  b.arith(t2, ArithOp::Add, acc2, acc2);
-  b.arith(acc2, ArithOp::Add, t2, t2);
-  b.arith(n2, ArithOp::Monus, n2, one2);
-  b.jump(top2);
-  b.bind(done2);
-  b.halt();
-  auto annotated = fuse_annotated(b, 2, 1);
-  if (!annotated.fusion.empty()) {
-    const EngineProfile eng = fused_counters(annotated, {Vec{}, Vec{12}});
-    EXPECT_EQ(eng.fused_groups, 12u);
-  }
+  expect_identical(p, {Vec{}, Vec{0}});
+  EXPECT_TRUE(expect_identical(p, {Vec{}, Vec{12}}, 20).trapped)
+      << "fuel must run out mid-loop";
 }
 
-TEST(Fusion, AttributionStaysAbove95Percent) {
-  // The profiling contract with fusion enabled: a compiled program keeps
-  // >= 95% of executed instructions attributed to source lines (the CI
-  // profile-smoke gate), because fused execution books each constituent
-  // instruction against its own debug site.  Source attribution needs
-  // the textual frontend -- lang-built trees carry no line:col.
-  const front::SourceFile src("fusion_attr.nsc",
+TEST(Backend, CompiledAttributionStaysAbove95Percent) {
+  // The profiling contract: a compiled program keeps >= 95% of executed
+  // instructions attributed to source lines (the CI profile-smoke gate).
+  // Source attribution needs the textual frontend -- lang-built trees
+  // carry no line:col.
+  const front::SourceFile src("chain_attr.nsc",
                               "fn main(xs : [nat]) : [nat] =\n"
                               "  let small = [x | x <- xs, x < 512] in\n"
                               "  [3 * v + 7 | v <- small]\n");
@@ -884,7 +756,6 @@ TEST(Fusion, AttributionStaysAbove95Percent) {
   cfg.record_trace = true;
   const RunResult r = run(
       p, sa::encode_value(Value::nat_seq(rng.vec(5000, 1024)), fn.dom), cfg);
-  EXPECT_GT(r.engine.fused_groups, 0u);
   const obs::Profile prof = obs::Profile::build(p, r);
   EXPECT_GE(prof.attributed_frac, 0.95);
 }

@@ -3,10 +3,11 @@
 //   * the cross-run arena is a pure allocator swap: outputs, traps, T,
 //     W, traces, and profiles are bit-identical with and without one,
 //     and a warm arena makes steady-state execution allocation-free
-//     (EngineProfile::pool_misses == 0 on the second run);
+//     (EngineProfile::pool_misses == 0 on the second run, and the
+//     arena's spare count stays flat on every run after it);
 //   * one immutable compiled Program is safe to execute from many
-//     threads at once (fused/unfused x serial/parallel backends), each
-//     run bit-identical to the sequential baseline -- this test is the
+//     threads at once (serial and parallel backends), each run
+//     bit-identical to the sequential baseline -- this test is the
 //     target of the CI ThreadSanitizer job;
 //   * segment-descriptor batching returns per-request values
 //     bit-identical to solo runs, and a trapping or fuel-exhausted
@@ -135,6 +136,15 @@ TEST(Arena, SteadyStateZeroAllocation) {
   EXPECT_EQ(raw2.engine.pool_misses, 0u);
   EXPECT_TRUE(Value::equal(r1.value, r2.value));
   EXPECT_EQ(r1.cost, r2.cost);
+  // ...and the arena stops growing: every buffer a warm run parks was
+  // taken from the arena, so the spare count is flat from run 2 on.
+  const std::size_t spares = arena.spare_count();
+  for (int run = 3; run <= 8; ++run) {
+    bvram::RunResult raw;
+    sa::run_compiled(prog->unit, prog->dom, prog->cod, arg, cfg, &raw);
+    EXPECT_EQ(raw.engine.pool_misses, 0u) << "run " << run;
+    EXPECT_EQ(arena.spare_count(), spares) << "run " << run;
+  }
 }
 
 TEST(Arena, BitIdenticalWithAndWithout) {
@@ -235,20 +245,14 @@ TEST(Serve, ConcurrentSharedProgram) {
       nat_seq({4, 25, 7, 1, 13, 9}), nat_seq({}), nat_seq({10, 10, 10}),
       nat_seq({0, 9, 100, 3})};
 
-  // Sequential baselines, one per (arg, fuse, backend) configuration.
-  struct Cfg {
-    bool fuse;
-    bool parallel;
-  };
-  const Cfg cfgs[] = {{true, false}, {false, false}, {true, true},
-                      {false, true}};
-  std::vector<std::vector<ValueRef>> baseline(4);
-  std::vector<std::vector<Cost>> baseline_cost(4);
-  for (std::size_t c = 0; c < 4; ++c) {
+  // Sequential baselines, one per (arg, backend) configuration.
+  const bool parallel[] = {false, true};
+  std::vector<std::vector<ValueRef>> baseline(2);
+  std::vector<std::vector<Cost>> baseline_cost(2);
+  for (std::size_t c = 0; c < 2; ++c) {
     for (const ValueRef& arg : args) {
       bvram::RunConfig rc;
-      rc.fuse = cfgs[c].fuse;
-      rc.parallel_backend = cfgs[c].parallel;
+      rc.parallel_backend = parallel[c];
       const sa::CompiledRun r =
           sa::run_compiled(prog->unit, prog->dom, prog->cod, arg, rc);
       baseline[c].push_back(r.value);
@@ -256,8 +260,8 @@ TEST(Serve, ConcurrentSharedProgram) {
     }
   }
 
-  // 8 threads hammer the SAME Program object concurrently, mixing all
-  // four configurations, each with its own arena.  Any engine mutation
+  // 8 threads hammer the SAME Program object concurrently, mixing both
+  // configurations, each with its own arena.  Any engine mutation
   // of shared Program state is a data race here (the TSan gate) and any
   // cross-talk shows up as a value/cost mismatch.
   constexpr int kThreads = 8;
@@ -267,11 +271,10 @@ TEST(Serve, ConcurrentSharedProgram) {
     oks.push_back(std::async(std::launch::async, [&, t] {
       bvram::BufferPool arena;
       for (int rep = 0; rep < kReps; ++rep) {
-        const std::size_t c = static_cast<std::size_t>(t + rep) % 4;
+        const std::size_t c = static_cast<std::size_t>(t + rep) % 2;
         const std::size_t a = static_cast<std::size_t>(rep) % args.size();
         bvram::RunConfig rc;
-        rc.fuse = cfgs[c].fuse;
-        rc.parallel_backend = cfgs[c].parallel;
+        rc.parallel_backend = parallel[c];
         rc.arena = &arena;
         const sa::CompiledRun r =
             sa::run_compiled(prog->unit, prog->dom, prog->cod, args[a], rc);

@@ -47,7 +47,6 @@
 //   --max-queue N   admission limit on queued requests (default 1024)
 //   --fuel N        per-request instruction budget
 //   --parallel      run the vector kernels on the thread pool
-//   --no-fuse       disable fused super-instructions (also keyed in cache)
 //   --stats-json PATH   write the nscc-serve-stats/v2 snapshot there
 //
 // serve telemetry (all pure observers; see docs/observability.md):
@@ -64,7 +63,7 @@
 //                   completed requests (0 = only at exit)
 //   --slow-ms T     emit a serve.slow event for requests slower than T ms
 //   --profile       serve: fold the engine's execution counters (pool
-//                   hits, fused groups, ...) into the metrics registry
+//                   hits, in-place writes, ...) into the metrics registry
 //
 // profile options (see docs/observability.md):
 //   --by-line       per-source-line table only (the default prints all views)
@@ -134,7 +133,6 @@ struct Options {
   std::uint64_t fuel = std::uint64_t{1} << 32;  // --fuel
   bool no_batch = false;           // --no-batch
   bool parallel = false;           // --parallel
-  bool no_fuse = false;            // --no-fuse
   std::string stats_json_path;     // --stats-json
   // serve telemetry
   std::string metrics_path;        // --metrics (Prometheus exposition)
@@ -158,7 +156,7 @@ struct Options {
                "[--chrome PATH] [--min-attribution PCT] "
                "[--requests PATH] [--repeat K] [--workers N] [--max-batch K] "
                "[--no-batch] [--max-queue N] [--fuel N] [--parallel] "
-               "[--no-fuse] [--stats-json PATH] [--metrics PATH] "
+               "[--stats-json PATH] [--metrics PATH] "
                "[--events PATH] [--trace PATH] [--snapshot-every N] "
                "[--slow-ms T] [--compare BASELINE.json] [--tolerance PCT]\n"
                "       %s doc\n",
@@ -302,8 +300,6 @@ Options parse_args(int argc, char** argv) {
       o.no_batch = true;
     } else if (arg == "--parallel") {
       o.parallel = true;
-    } else if (arg == "--no-fuse") {
-      o.no_fuse = true;
     } else if (arg == "--stats-json") {
       o.stats_json_path = need_value("--stats-json");
     } else if (arg == "--metrics") {
@@ -766,11 +762,7 @@ int cmd_bench(const F::SourceFile& src, const Options& o) {
             << prof.engine.pool_hits << ", \"pool_misses\": "
             << prof.engine.pool_misses << ", \"inplace_hits\": "
             << prof.engine.inplace_hits << ", \"move_swaps\": "
-            << prof.engine.move_swaps << ", \"fused_groups\": "
-            << prof.engine.fused_groups << ", \"fused_instrs\": "
-            << prof.engine.fused_instrs << ", \"fused_elided\": "
-            << prof.engine.fused_elided << ", \"fused_fallbacks\": "
-            << prof.engine.fused_fallbacks << "}";
+            << prof.engine.move_swaps << "}";
       }
       out << "}";
     }
@@ -916,7 +908,6 @@ int cmd_serve(const F::SourceFile& src, const Options& o) {
   cfg.fuel = o.fuel;
   cfg.batching = !o.no_batch;
   cfg.parallel_backend = o.parallel;
-  cfg.fuse = !o.no_fuse;
 
   // Telemetry sinks (pure observers; declared before the Service so they
   // outlive the worker threads that write into them).
